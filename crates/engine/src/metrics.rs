@@ -3,7 +3,7 @@
 //! The paper's evaluation is a cost *breakdown* — which kernel cycles go
 //! where on each datapath — and a serving fleet needs the same attribution
 //! at runtime: not just totals and a max, but the shape of the latency
-//! distribution per op class, per datapath and per scheduler level. This
+//! distribution per op class and per scheduler level. This
 //! module provides the two halves:
 //!
 //! * [`Histogram`] — an HDR-style fixed-bucket log-linear histogram over
@@ -17,8 +17,8 @@
 //!   relative error is bounded by `1/SUBBUCKETS` (6.25%).
 //! * [`render_prometheus`] — the Prometheus text exposition of a
 //!   [`RouterStats`]: merged fleet counters,
-//!   summary-style quantiles per op class / backend / queue level,
-//!   per-tenant accounting, and a per-shard health block (liveness, queue
+//!   summary-style quantiles of job execution and per op class / queue
+//!   level, per-tenant accounting, and a per-shard health block (liveness, queue
 //!   depth, inflight, rejects). This is the payload of the `HEVS` admin
 //!   frame (see [`crate::wire`] and the `hefv-net` server).
 
@@ -443,25 +443,6 @@ pub fn render_prometheus_into(out: &mut String, fleet: &RouterStats) {
 
     header(
         out,
-        "hefv_jobs_backend_total",
-        "Jobs dispatched per Lift/Scale datapath",
-        "counter",
-    );
-    line(
-        out,
-        "hefv_jobs_backend_total",
-        &[("backend", "traditional")],
-        t.jobs_traditional as f64,
-    );
-    line(
-        out,
-        "hefv_jobs_backend_total",
-        &[("backend", "hps")],
-        t.jobs_hps as f64,
-    );
-
-    header(
-        out,
         "hefv_op_latency_seconds",
         "Execution latency per op class (fleet-merged)",
         "summary",
@@ -477,18 +458,11 @@ pub fn render_prometheus_into(out: &mut String, fleet: &RouterStats) {
 
     header(
         out,
-        "hefv_backend_latency_seconds",
-        "Job execution latency per Lift/Scale datapath",
+        "hefv_exec_latency_seconds",
+        "Job execution latency",
         "summary",
     );
-    for (backend, h) in &t.exec_by_backend {
-        summary(
-            out,
-            "hefv_backend_latency_seconds",
-            &[("backend", backend)],
-            h,
-        );
-    }
+    summary(out, "hefv_exec_latency_seconds", &[], &t.exec);
 
     header(
         out,

@@ -26,6 +26,27 @@ fn toy_router_shedding(
     queue_capacity: usize,
     shedding: SheddingPolicy,
 ) -> (Arc<FvContext>, Arc<ShardRouter>) {
+    toy_router_with(
+        shards,
+        EngineConfig {
+            queue_capacity,
+            shedding,
+            ..toy_engine_config()
+        },
+    )
+}
+
+/// The two-worker, single-thread-per-job engine every toy shard runs.
+fn toy_engine_config() -> EngineConfig {
+    EngineConfig {
+        workers: 2,
+        threads_per_job: 1,
+        ..EngineConfig::default()
+    }
+}
+
+/// `shards` toy-parameter shards, each running `config`.
+fn toy_router_with(shards: usize, config: EngineConfig) -> (Arc<FvContext>, Arc<ShardRouter>) {
     let ctx = Arc::new(FvContext::new(FvParams::insecure_toy()).unwrap());
     let router = Arc::new(ShardRouter::new());
     for i in 0..shards {
@@ -33,13 +54,7 @@ fn toy_router_shedding(
             .add_shard(ShardSpec {
                 name: format!("s{i}"),
                 ctx: Arc::clone(&ctx),
-                config: EngineConfig {
-                    workers: 2,
-                    threads_per_job: 1,
-                    queue_capacity,
-                    shedding: shedding.clone(),
-                    ..EngineConfig::default()
-                },
+                config: config.clone(),
             })
             .unwrap();
     }
@@ -341,7 +356,19 @@ fn backpressure_with_tiny_inflight_window_loses_nothing() {
 /// for the non-blocking dispatch seam.
 #[test]
 fn tiny_shard_queue_backpressure_loses_nothing() {
-    let (ctx, router) = toy_router(1, 2); // queue capacity 2
+    // Both workers hold every job for 25 ms, so the 2-deep queue is
+    // still full when the burst arrives: refusal is forced, not raced.
+    let (ctx, router) = toy_router_with(
+        1,
+        EngineConfig {
+            queue_capacity: 2,
+            chaos: Some(ChaosPlan {
+                delay: Duration::from_millis(25),
+                ..ChaosPlan::default()
+            }),
+            ..toy_engine_config()
+        },
+    );
     let tenant = onboard(&ctx, &router, 6, 23);
     let server = NetServer::bind(
         "127.0.0.1:0",
@@ -569,7 +596,7 @@ fn hevs_scrape_returns_metrics_and_matching_trace_ids() {
         "hefv_jobs_submitted_total",
         "hefv_jobs_completed_total",
         "hefv_op_latency_seconds",
-        "hefv_backend_latency_seconds",
+        "hefv_exec_latency_seconds",
         "hefv_queue_wait_seconds",
         "hefv_tenant_requests_total",
         "hefv_shard_up",

@@ -4,8 +4,8 @@
 //!
 //! The engine's linger timer and workers, the router's shard engines and
 //! the net server's poll thread are all joined on shutdown; this suite
-//! pins that down by counting the process's live tasks around many
-//! cycles. Linux-only (it reads `/proc/self/task`), which covers CI.
+//! pins that down by counting the process's live `hefv-*` threads around
+//! many cycles. Linux-only (it reads `/proc/self/task`), which covers CI.
 
 #![cfg(target_os = "linux")]
 
@@ -27,8 +27,43 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Live threads spawned by the library. Every long-lived engine, router
+/// and server thread is named `hefv-*`; counting only those keeps the
+/// harness's own test threads, which start and exit while a counting
+/// test runs, out of the figure. A new thread carries its spawner's name
+/// until it renames itself, so this first waits (up to 2 s) until no
+/// other thread carries the calling test thread's name.
 fn live_threads() -> usize {
-    std::fs::read_dir("/proc/self/task").unwrap().count()
+    let me = std::fs::read_to_string("/proc/thread-self/comm").unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    loop {
+        let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .collect();
+        let unnamed = names.iter().filter(|name| **name == me).count() > 1;
+        if !unnamed || std::time::Instant::now() >= deadline {
+            return names
+                .iter()
+                .filter(|name| name.starts_with("hefv-"))
+                .count();
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// `live_threads()` once it has fallen to `limit`, or after 2 s. A
+/// joined thread can still be listed for a moment after `join` returns;
+/// a leaked one stays listed.
+fn settled_threads(limit: usize) -> usize {
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    loop {
+        let n = live_threads();
+        if n <= limit || std::time::Instant::now() >= deadline {
+            return n;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 fn live_fds() -> usize {
@@ -60,7 +95,7 @@ fn repeated_engine_start_stop_leaks_no_threads() {
         std::thread::sleep(Duration::from_millis(3));
         engine.shutdown();
     }
-    let after = live_threads();
+    let after = settled_threads(before);
     assert!(
         after <= before,
         "thread leak: {before} tasks before, {after} after 20 engine cycles"
@@ -98,7 +133,7 @@ fn repeated_router_and_server_start_stop_leaks_no_threads() {
     for _ in 0..10 {
         cycle();
     }
-    let after = live_threads();
+    let after = settled_threads(before);
     assert!(
         after <= before,
         "thread leak: {before} tasks before, {after} after 10 router+server cycles"
@@ -190,7 +225,7 @@ fn chaos_panic_cycles_leak_no_threads_fds_or_replies() {
     for _ in 0..20 {
         cycle(&mut rng);
     }
-    let (threads_after, fds_after) = (live_threads(), live_fds());
+    let (threads_after, fds_after) = (settled_threads(threads_before), live_fds());
     assert!(
         threads_after <= threads_before,
         "thread leak: {threads_before} tasks before, {threads_after} after 20 chaos cycles"
@@ -223,6 +258,10 @@ fn dropping_the_server_joins_the_poll_thread() {
         assert!(live_threads() > before, "poll thread is running");
         // Dropped here without an explicit shutdown().
     }
-    assert_eq!(live_threads(), before, "drop must join the poll thread");
+    assert_eq!(
+        settled_threads(before),
+        before,
+        "drop must join the poll thread"
+    );
     router.shutdown();
 }

@@ -182,8 +182,6 @@ pub struct TradCostModel {
     /// (4.3 ms at 225 MHz → 236 cycles; the reciprocal is twice as wide
     /// and the dividend twice as long, "almost four times larger" §V-C).
     pub scale_ii: u64,
-    /// Parallel single-core lift/scale units (4 in §VI-C).
-    pub cores: usize,
     /// Relinearization digits (2: "three times smaller relinearization
     /// key").
     pub relin_digits: usize,
@@ -195,7 +193,6 @@ impl Default for TradCostModel {
             poly: CostModel::default(),
             lift_ii: 92,
             scale_ii: 236,
-            cores: 4,
             relin_digits: 2,
         }
     }
