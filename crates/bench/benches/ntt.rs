@@ -21,6 +21,7 @@
 //! * `BENCH_PR4_QUICK` / `BENCH_PR7_QUICK` — any value shrinks the
 //!   iteration budget for CI smoke runs (either one enables quick mode).
 
+use hefv_bench::min_time;
 use hefv_core::eval::{self, Backend};
 use hefv_core::prelude::*;
 use hefv_math::dispatch::{self, Kernels};
@@ -31,28 +32,6 @@ use hefv_math::zq::Modulus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::time::Instant;
-
-/// Minimum time per measurement in seconds (keeps samples meaningful
-/// without pinning the CI smoke job).
-fn measure<F: FnMut()>(mut f: F, quick: bool) -> f64 {
-    // Warm up and size the batch.
-    let t0 = Instant::now();
-    f();
-    let once = t0.elapsed().as_secs_f64().max(1e-9);
-    let target = if quick { 0.02 } else { 0.2 };
-    let batch = ((target / 8.0 / once) as u64).clamp(1, 1 << 20);
-    let samples = if quick { 3 } else { 8 };
-    let mut best = f64::INFINITY;
-    for _ in 0..samples {
-        let t = Instant::now();
-        for _ in 0..batch {
-            f();
-        }
-        best = best.min(t.elapsed().as_secs_f64() / batch as f64);
-    }
-    best
-}
 
 /// Times the four dispatched kernels through one kernel table; returns
 /// `[forward_us, inverse_us, pointwise_us, sop_us]`.
@@ -64,7 +43,7 @@ fn lane_times(k: &'static Kernels, table: &NttTable, input: &[u64], quick: bool)
     // for either direction, so the loop measures the kernel alone
     // rather than a 32 KB clone per iteration.
     let mut x = input.to_vec();
-    let fwd = measure(
+    let fwd = min_time(
         || {
             k.ntt_forward(table, black_box(&mut x));
         },
@@ -72,7 +51,7 @@ fn lane_times(k: &'static Kernels, table: &NttTable, input: &[u64], quick: bool)
     ) * 1e6;
     let mut x = input.to_vec();
     k.ntt_forward(table, &mut x);
-    let inv = measure(
+    let inv = min_time(
         || {
             k.ntt_inverse(table, black_box(&mut x));
         },
@@ -80,7 +59,7 @@ fn lane_times(k: &'static Kernels, table: &NttTable, input: &[u64], quick: bool)
     ) * 1e6;
     let b: Vec<u64> = (0..n as u64).map(|i| (i * 69621 + 11) % q).collect();
     let mut dst = vec![0u64; n];
-    let pw = measure(
+    let pw = min_time(
         || {
             k.pointwise_mul(&m, input, &b, &mut dst);
             black_box(&mut dst);
@@ -97,7 +76,7 @@ fn lane_times(k: &'static Kernels, table: &NttTable, input: &[u64], quick: bool)
     let (d32, k0, k1) = (line(1), line(2), line(3));
     let perm: Vec<u32> = (0..n as u32).rev().collect();
     let (mut a0, mut a1) = (vec![0u64; n], vec![0u64; n]);
-    let sop = measure(
+    let sop = min_time(
         || {
             k.sop_narrow_row(&m, &perm, &d32, &k0, &k1, Some(input), &mut a0, &mut a1);
             black_box((&mut a0, &mut a1));
@@ -115,7 +94,7 @@ fn main() {
     let table = NttTable::new(Modulus::new(q), n).unwrap();
     let input: Vec<u64> = (0..n as u64).map(|i| (i * 48271 + 3) % q).collect();
 
-    let strict_fwd = measure(
+    let strict_fwd = min_time(
         || {
             let mut x = input.clone();
             table.forward_strict(&mut x);
@@ -123,7 +102,7 @@ fn main() {
         },
         quick,
     ) * 1e6;
-    let lazy_fwd = measure(
+    let lazy_fwd = min_time(
         || {
             let mut x = input.clone();
             table.forward(&mut x);
@@ -133,7 +112,7 @@ fn main() {
     ) * 1e6;
     let mut frev = input.clone();
     table.forward(&mut frev);
-    let strict_inv = measure(
+    let strict_inv = min_time(
         || {
             let mut x = frev.clone();
             table.inverse_strict(&mut x);
@@ -141,7 +120,7 @@ fn main() {
         },
         quick,
     ) * 1e6;
-    let lazy_inv = measure(
+    let lazy_inv = min_time(
         || {
             let mut x = frev.clone();
             table.inverse(&mut x);
@@ -158,14 +137,14 @@ fn main() {
     let ca = encrypt(&ctx, &pk, &pa, &mut rng);
     let cb = encrypt(&ctx, &pk, &pa, &mut rng);
     let backend = Backend::Hps(HpsPrecision::Fixed);
-    let mult_ms = measure(
+    let mult_ms = min_time(
         || {
             black_box(eval::mul(&ctx, &ca, &cb, &rlk, backend));
         },
         quick,
     ) * 1e3;
     let tensor = eval::tensor(&ctx, &ca, &cb, backend);
-    let relin_ms = measure(
+    let relin_ms = min_time(
         || {
             black_box(eval::relinearize(&ctx, &tensor, &rlk));
         },

@@ -7,9 +7,15 @@
 //! A counting `#[global_allocator]` wraps the system allocator; this file
 //! deliberately holds a single `#[test]` so no concurrent test pollutes
 //! the counters.
+//!
+//! The evaluation runs on whichever kernel table `HEFV_KERNEL` /
+//! `HEFV_FORCE_SCALAR` selected for the process, so the test also drives
+//! the HPS Lift/Scale entries of the scalar and the AVX2 table directly:
+//! both lanes are checked in every run.
 
 use hefv_core::galois::{GaloisKey, GaloisKeySet, HoistedCiphertext};
 use hefv_core::prelude::*;
+use hefv_math::dispatch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -103,11 +109,41 @@ fn warm_arena_mult_and_rotate_allocate_zero_bytes() {
         allocs_after - allocs_before,
         0,
         "steady-state Mult/rotate hot path must not allocate \
-         ({} allocations, {} bytes over 5 iterations)",
+         ({} allocations, {} bytes over 5 iterations, {} lane)",
         allocs_after - allocs_before,
         bytes_after - bytes_before,
+        dispatch::backend_name(),
     );
     assert_eq!(bytes_after - bytes_before, 0, "zero bytes at steady state");
+
+    // Both lanes of the Lift/Scale seam, over a column range that starts
+    // and ends off the 4-lane grid so the vector lane's scalar tail runs.
+    let rns = ctx.rns();
+    let lift_src = vec![7u64; rns.base_q().len() * n];
+    let scale_src = vec![11u64; rns.base_full().len() * n];
+    let cols = 1..n - 2;
+    let mut lift_out = vec![0u64; rns.base_p().len() * cols.len()];
+    let mut scale_out = vec![0u64; rns.base_q().len() * cols.len()];
+    let tables = [Some(dispatch::scalar_kernels()), dispatch::avx2_kernels()];
+    for k in tables.into_iter().flatten() {
+        let (allocs_before, bytes_before) = snapshot();
+        k.extend_hps_cols(rns.lift(), &lift_src, n, cols.clone(), &mut lift_out);
+        k.scale_hps_cols(
+            ctx.scale(),
+            rns,
+            &scale_src,
+            n,
+            cols.clone(),
+            &mut scale_out,
+        );
+        let (allocs_after, bytes_after) = snapshot();
+        assert_eq!(
+            (allocs_after - allocs_before, bytes_after - bytes_before),
+            (0, 0),
+            "{} Lift/Scale lane must not allocate",
+            k.backend().name()
+        );
+    }
 
     // Sanity: the evaluation above actually computes — decrypt one result.
     let check = hefv_core::eval::mul_in(&ctx, &ca, &cb, &rlk, backend, &arena);

@@ -1,9 +1,17 @@
-//! Runtime-dispatched kernel seam for the three dominant kernels.
+//! Runtime-dispatched kernel seam for the dominant kernels.
 //!
-//! Per-op telemetry shows NTTs, pointwise (Hadamard) products and the
-//! hoisted key-switch sum-of-products dominate eval time; this module is
-//! the single seam those hot paths route through. A [`Kernels`] table of
-//! function pointers is selected **once** per process:
+//! Per-op telemetry shows that NTTs, pointwise (Hadamard) products, the
+//! hoisted key-switch sum-of-products and the HPS basis conversions
+//! dominate eval time. This module is the single seam those hot paths
+//! route through. A [`Kernels`] table holds five dispatched kernels:
+//!
+//! 1. the forward and inverse negacyclic NTT of one residue row;
+//! 2. pointwise product, in-place product and multiply-accumulate;
+//! 3. one residue row of the narrow hoisted key-switch sum-of-products;
+//! 4. HPS `Lift q→Q` over a column range ([`Kernels::extend_hps_cols`]);
+//! 5. HPS `Scale Q→q` over a column range ([`Kernels::scale_hps_cols`]).
+//!
+//! The table is selected **once** per process:
 //!
 //! 1. `HEFV_KERNEL=scalar|avx2` — explicit choice (an unavailable or
 //!    unknown value falls back to auto-detection, never a crash);
@@ -23,11 +31,22 @@
 //! accelerator backend: a backend supplies one more `Kernels` table, and
 //! every call site upstream is already routed.
 //!
+//! The AVX2 Lift/Scale lane runs only where its range argument holds:
+//! every modulus in `[2^6, 2^31)`, at most 21 source limbs for `Lift`,
+//! and for `Scale` a step-1 sum below `64·p_m` for every `p` modulus.
+//! The constructors of [`Extender`] and [`ScaleContext`] check this once
+//! and precompute the lane constants; any other basis, and every
+//! column-range tail that is not a multiple of 4, runs the scalar body.
+//! Only [`HpsPrecision::Fixed`] dispatches; the `F64` ablation stays
+//! scalar.
+//!
 //! Tests can bypass the process-wide selection with [`scalar_kernels`]
 //! and [`avx2_kernels`] to compare both paths in one process.
 
 use crate::ntt::NttTable;
+use crate::rns::{Extender, HpsPrecision, RnsContext, ScaleContext};
 use crate::zq::Modulus;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Which lane implementation a [`Kernels`] table uses.
@@ -61,6 +80,9 @@ pub struct Kernels {
     #[allow(clippy::type_complexity)]
     sop_narrow_row:
         fn(&Modulus, &[u32], &[u32], &[u32], &[u32], Option<&[u64]>, &mut [u64], &mut [u64]),
+    extend_hps_cols: fn(&Extender, &[u64], usize, Range<usize>, &mut [u64]),
+    #[allow(clippy::type_complexity)]
+    scale_hps_cols: fn(&ScaleContext, &RnsContext, &[u64], usize, Range<usize>, &mut [u64]),
 }
 
 impl Kernels {
@@ -198,6 +220,47 @@ impl Kernels {
         }
         (self.sop_narrow_row)(m, perm, digits, ksk0, ksk1, c0_row, acc0, acc1)
     }
+
+    /// HPS `Lift` with fixed-point quotients over a column range (see
+    /// [`Extender::extend_poly_hps_cols_into`] for the layout): columns
+    /// `cols` of the flat `from.len() × n` source `src` go to `out`,
+    /// laid out `to.len() × cols.len()`. Source words may be any `u64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src`/`out` sizes or the column range are inconsistent.
+    pub fn extend_hps_cols(
+        &self,
+        ext: &Extender,
+        src: &[u64],
+        n: usize,
+        cols: Range<usize>,
+        out: &mut [u64],
+    ) {
+        ext.check_cols_shape(src, n, &cols, out);
+        (self.extend_hps_cols)(ext, src, n, cols, out)
+    }
+
+    /// HPS `Scale Q→q` with fixed-point quotients over a column range
+    /// (see [`ScaleContext::scale_poly_hps_cols_into`] for the layout):
+    /// columns `cols` of the flat `(k + l) × n` source go to the
+    /// `k × cols.len()` output. Source words may be any `u64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src`/`out` sizes or the column range are inconsistent.
+    pub fn scale_hps_cols(
+        &self,
+        sc: &ScaleContext,
+        ctx: &RnsContext,
+        src: &[u64],
+        n: usize,
+        cols: Range<usize>,
+        out: &mut [u64],
+    ) {
+        ScaleContext::check_cols_shape(ctx, src, n, &cols, out);
+        (self.scale_hps_cols)(sc, ctx, src, n, cols, out)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -263,6 +326,29 @@ fn sop_narrow_row_scalar(
     }
 }
 
+fn extend_hps_cols_scalar(
+    ext: &Extender,
+    src: &[u64],
+    n: usize,
+    cols: Range<usize>,
+    out: &mut [u64],
+) {
+    let w = cols.len();
+    ext.extend_cols_hps_at(src, n, cols, out, w, 0, HpsPrecision::Fixed)
+}
+
+fn scale_hps_cols_scalar(
+    sc: &ScaleContext,
+    ctx: &RnsContext,
+    src: &[u64],
+    n: usize,
+    cols: Range<usize>,
+    out: &mut [u64],
+) {
+    let w = cols.len();
+    sc.scale_cols_hps_at(ctx, src, n, cols, out, w, 0, HpsPrecision::Fixed)
+}
+
 static SCALAR: Kernels = Kernels {
     backend: KernelBackend::Scalar,
     ntt_forward: ntt_forward_scalar,
@@ -271,6 +357,8 @@ static SCALAR: Kernels = Kernels {
     pointwise_mul_assign: pointwise_mul_assign_scalar,
     pointwise_mul_acc: pointwise_mul_acc_scalar,
     sop_narrow_row: sop_narrow_row_scalar,
+    extend_hps_cols: extend_hps_cols_scalar,
+    scale_hps_cols: scale_hps_cols_scalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -345,6 +433,35 @@ mod avx2 {
         }
     }
 
+    fn extend_hps_cols(ext: &Extender, src: &[u64], n: usize, cols: Range<usize>, out: &mut [u64]) {
+        match ext.lane() {
+            // SAFETY: AVX2 is present (this table exists only then), and
+            // `Kernels::extend_hps_cols`, the only caller, has checked the
+            // flat layout with `Extender::check_cols_shape`.
+            Some(lane) => unsafe { simd::extend_hps_cols(ext, lane, src, n, cols, out) },
+            None => super::extend_hps_cols_scalar(ext, src, n, cols, out),
+        }
+    }
+
+    fn scale_hps_cols(
+        sc: &ScaleContext,
+        ctx: &RnsContext,
+        src: &[u64],
+        n: usize,
+        cols: Range<usize>,
+        out: &mut [u64],
+    ) {
+        match (sc.lane(), ctx.unlift().lane()) {
+            // SAFETY: AVX2 is present (this table exists only then), and
+            // `Kernels::scale_hps_cols`, the only caller, has checked the
+            // flat layout with `ScaleContext::check_cols_shape`.
+            (Some(lane), Some(unlift)) => unsafe {
+                simd::scale_hps_cols(sc, lane, ctx, unlift, src, n, cols, out)
+            },
+            _ => super::scale_hps_cols_scalar(sc, ctx, src, n, cols, out),
+        }
+    }
+
     pub(super) static TABLE: Kernels = Kernels {
         backend: KernelBackend::Avx2,
         ntt_forward,
@@ -353,6 +470,8 @@ mod avx2 {
         pointwise_mul_assign,
         pointwise_mul_acc,
         sop_narrow_row,
+        extend_hps_cols,
+        scale_hps_cols,
     };
 }
 

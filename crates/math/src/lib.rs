@@ -20,9 +20,10 @@
 //! * [`fixed`] — the fixed-point reciprocal arithmetic the paper substitutes
 //!   for HPS's floating-point divisions (89-bit fractions).
 //! * [`dispatch`] — the runtime kernel seam: the NTT butterflies, the
-//!   pointwise products and the hoisted key-switch sum-of-products all
-//!   route through a per-process function table that picks AVX2 lane
-//!   implementations when the CPU has them (scalar fallback otherwise,
+//!   pointwise products, the hoisted key-switch sum-of-products and the
+//!   fixed-point HPS `Lift`/`Scale` basis conversions all route through a
+//!   per-process function table that picks AVX2 lane implementations
+//!   when the CPU has them (scalar fallback otherwise,
 //!   `HEFV_FORCE_SCALAR` / `HEFV_KERNEL` to override).
 //!
 //! # The kernel dispatch seam

@@ -31,6 +31,101 @@ use serde::{Deserialize, Serialize};
 /// 12 + 13 limbs.
 pub const MAX_STREAM_LIMBS: usize = 64;
 
+/// A constant `w < m` with its narrow Shoup companion `⌊w·2^32/m⌋`, the
+/// operand pair of the AVX2 lanes' three-`pmuludq` lazy product.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NarrowShoup {
+    pub(crate) w: u64,
+    pub(crate) w32: u64,
+}
+
+impl NarrowShoup {
+    fn new(w: u64, m: u64) -> Self {
+        debug_assert!(w < m);
+        NarrowShoup {
+            w,
+            w32: (w << 32) / m,
+        }
+    }
+}
+
+/// Moduli the vector Lift/Scale lanes accept: below 2^31 every operand
+/// and constant fits one 32-bit `pmuludq` input, and above 2^6 the
+/// output reduction's quotient estimate `⌊2^37/m⌋` does too.
+const LANE_MODULI: std::ops::Range<u64> = (1 << 6)..(1 << 31);
+
+/// Constants of the vector `Lift` lane, built once by [`Extender::new`]
+/// when the bases satisfy the lane's range argument (see the `simd`
+/// module): every modulus in `[2^6, 2^31)` and `3k ≤ 64`, so the output
+/// sum of `k` lazy products `< 2m` plus `v·(m − M mod m) ≤ k·m` stays
+/// below the `64m` the final reduction covers.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[derive(Debug, Clone)]
+pub(crate) struct LiftLane {
+    /// `q̃_i` per source limb.
+    pub(crate) tilde: Vec<NarrowShoup>,
+    /// High and low 32-bit halves of the Q89 reciprocal `⌊2^89/q_i⌋`.
+    pub(crate) recip_hi: Vec<u64>,
+    pub(crate) recip_lo: Vec<u64>,
+    /// `(M/m_i) mod t_j`, transposed to rows `[j·k + i]`.
+    pub(crate) cross_t: Vec<NarrowShoup>,
+    /// `t_j − (M mod t_j)`: adding `v` of these subtracts `v·M`.
+    pub(crate) neg_product: Vec<u64>,
+}
+
+impl LiftLane {
+    fn new(from: &RnsBasis, to: &RnsBasis, ext_cross: &[Vec<u64>], pmt: &[u64]) -> Option<Self> {
+        let k = from.len();
+        let narrow = |b: &RnsBasis| b.moduli().iter().all(|m| LANE_MODULI.contains(&m.value()));
+        if 3 * k > 64 || !narrow(from) || !narrow(to) {
+            return None;
+        }
+        let recip: Vec<u64> = from
+            .moduli()
+            .iter()
+            .map(|m| SmallReciprocal::new(m.value()).stored_word())
+            .collect();
+        Some(LiftLane {
+            tilde: (0..k)
+                .map(|i| NarrowShoup::new(from.tilde(i), from.modulus(i).value()))
+                .collect(),
+            recip_hi: recip.iter().map(|r| r >> 32).collect(),
+            recip_lo: recip.iter().map(|r| r & 0xFFFF_FFFF).collect(),
+            cross_t: (0..to.len())
+                .flat_map(|j| {
+                    let m = to.modulus(j).value();
+                    ext_cross.iter().map(move |row| NarrowShoup::new(row[j], m))
+                })
+                .collect(),
+            neg_product: to
+                .moduli()
+                .iter()
+                .zip(pmt)
+                .map(|(m, &r)| m.value() - r)
+                .collect(),
+        })
+    }
+}
+
+/// Constants of the vector `Scale` lane's step 1 (Fig. 9 Blocks 1–3),
+/// built once by [`ScaleContext::new`] when the range argument holds:
+/// every modulus in `[2^6, 2^31)`, the `p → q` extender has its own
+/// [`LiftLane`], and for every `p_m` the unreduced sum
+/// `G + Σ (k + l lazy products < 2p_m)` stays below `64·p_m`.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[derive(Debug, Clone)]
+pub(crate) struct ScaleLane {
+    /// `Q̃` per modulus of the full basis (q limbs first).
+    pub(crate) tilde: Vec<NarrowShoup>,
+    /// High and low 32-bit halves of the Q64 constants `frac(t·p/q_i)`.
+    pub(crate) frac_hi: Vec<u64>,
+    pub(crate) frac_lo: Vec<u64>,
+    /// Row `m` (stride `k + l`): `I_i mod p_m` for the q limbs, then
+    /// `t·(p/p_j) mod p_m` for the p limbs — the full basis order.
+    pub(crate) mix: Vec<NarrowShoup>,
+}
+
 /// Which arithmetic computes the HPS approximate quotient.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum HpsPrecision {
@@ -190,19 +285,21 @@ pub struct Extender {
     recips: Vec<SmallReciprocal>,
     /// `1.0 / m_i` as doubles.
     recips_f64: Vec<f64>,
+    /// Vector-lane constants, `None` outside the lane's proven range.
+    lane: Option<LiftLane>,
 }
 
 impl Extender {
     /// Precomputes the extension tables between two bases.
     pub fn new(from: &RnsBasis, to: &RnsBasis) -> Self {
-        let cross = (0..from.len())
+        let cross: Vec<Vec<u64>> = (0..from.len())
             .map(|i| {
                 (0..to.len())
                     .map(|j| from.m_over(i).rem_u64(to.modulus(j).value()))
                     .collect()
             })
             .collect();
-        let product_mod_to = (0..to.len())
+        let product_mod_to: Vec<u64> = (0..to.len())
             .map(|j| from.product().rem_u64(to.modulus(j).value()))
             .collect();
         let recips = from
@@ -215,6 +312,7 @@ impl Extender {
             .iter()
             .map(|m| 1.0 / m.value() as f64)
             .collect();
+        let lane = LiftLane::new(from, to, &cross, &product_mod_to);
         Extender {
             from: from.clone(),
             to: to.clone(),
@@ -222,7 +320,14 @@ impl Extender {
             product_mod_to,
             recips,
             recips_f64,
+            lane,
         }
+    }
+
+    /// The vector-lane constants, if this basis pair is inside the lane's
+    /// proven range.
+    pub(crate) fn lane(&self) -> Option<&LiftLane> {
+        self.lane.as_ref()
     }
 
     /// The source basis.
@@ -344,6 +449,12 @@ impl Extender {
     /// software analogue of the paper's block-pipelined Lift datapath
     /// streaming one coefficient per initiation interval.
     ///
+    /// With [`HpsPrecision::Fixed`] the call routes through the
+    /// [`crate::dispatch`] kernel seam ([`crate::dispatch::Kernels::extend_hps_cols`]):
+    /// the AVX2 lane where the CPU and the basis allow it, the scalar
+    /// body otherwise, bit-identical either way. [`HpsPrecision::F64`]
+    /// (the paper ablation) always runs scalar.
+    ///
     /// # Panics
     ///
     /// Panics if `src`/`out` sizes or the column range are inconsistent.
@@ -355,6 +466,26 @@ impl Extender {
         out: &mut [u64],
         precision: HpsPrecision,
     ) {
+        match precision {
+            HpsPrecision::Fixed => {
+                crate::dispatch::kernels().extend_hps_cols(self, src, n, cols, out)
+            }
+            HpsPrecision::F64 => {
+                let w = self.check_cols_shape(src, n, &cols, out);
+                self.extend_cols_hps_at(src, n, cols, out, w, 0, precision)
+            }
+        }
+    }
+
+    /// Checks the flat layout of a column-range extension and returns the
+    /// output stride `cols.len()`.
+    pub(crate) fn check_cols_shape(
+        &self,
+        src: &[u64],
+        n: usize,
+        cols: &std::ops::Range<usize>,
+        out: &[u64],
+    ) -> usize {
         let k = self.from.len();
         let l = self.to.len();
         assert_eq!(src.len(), k * n, "flat source length mismatch");
@@ -362,9 +493,28 @@ impl Extender {
         let w = cols.len();
         assert_eq!(out.len(), l * w, "flat destination length mismatch");
         assert!(k <= MAX_STREAM_LIMBS, "basis exceeds MAX_STREAM_LIMBS");
+        w
+    }
+
+    /// The portable body of [`Extender::extend_poly_hps_cols_into`] (the
+    /// scalar kernel-table entry and the `F64` path): column
+    /// `cols.start + o` lands in output slot `o0 + o` of rows with stride
+    /// `w`. The vector lane finishes its non-multiple-of-4 tails here.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn extend_cols_hps_at(
+        &self,
+        src: &[u64],
+        n: usize,
+        cols: std::ops::Range<usize>,
+        out: &mut [u64],
+        w: usize,
+        o0: usize,
+        precision: HpsPrecision,
+    ) {
+        let k = self.from.len();
         let mut ys_buf = [0u64; MAX_STREAM_LIMBS];
         let ys = &mut ys_buf[..k];
-        for (o, c) in cols.enumerate() {
+        for (o, c) in (o0..).zip(cols) {
             for (i, y) in ys.iter_mut().enumerate() {
                 let m = self.from.modulus(i);
                 *y = m.mul(m.reduce(src[i * n + c]), self.from.tilde(i));
@@ -528,6 +678,8 @@ pub struct ScaleContext {
     frac_fixed: Vec<u64>,
     /// `frac(t·p/q_i)` as doubles.
     frac_f64: Vec<f64>,
+    /// Vector-lane constants, `None` outside the lane's proven range.
+    lane: Option<ScaleLane>,
 }
 
 impl ScaleContext {
@@ -587,7 +739,7 @@ impl ScaleContext {
             frac_fixed.push((((r as u128) << 64) / qi as u128) as u64);
             frac_f64.push(r as f64 / qi as f64);
         }
-        ScaleContext {
+        let mut sc = ScaleContext {
             t,
             big_q_tilde_q,
             big_q_tilde_p,
@@ -595,7 +747,63 @@ impl ScaleContext {
             int_im,
             frac_fixed,
             frac_f64,
+            lane: None,
+        };
+        sc.lane = sc.build_lane(ctx);
+        sc
+    }
+
+    /// The step-1 vector-lane constants, if `ctx` is inside the lane's
+    /// proven range (see [`ScaleLane`]).
+    fn build_lane(&self, ctx: &RnsContext) -> Option<ScaleLane> {
+        let full = ctx.base_full();
+        let (qb, pb) = (ctx.base_q(), ctx.base_p());
+        let (k, l) = (qb.len(), pb.len());
+        if ctx.unlift().lane().is_none()
+            || !full
+                .moduli()
+                .iter()
+                .all(|m| LANE_MODULI.contains(&m.value()))
+        {
+            return None;
         }
+        // G ≤ Σ (q_i − 1), and each of the k + l lazy products is < 2p_m.
+        let g_max: u64 = qb.moduli().iter().map(|m| m.value() - 1).sum();
+        let fits = pb.moduli().iter().all(|m| {
+            let p = m.value();
+            g_max + (k + l) as u64 * (2 * p - 1) < 64 * p
+        });
+        if !fits {
+            return None;
+        }
+        let tilde = self
+            .big_q_tilde_q
+            .iter()
+            .chain(&self.big_q_tilde_p)
+            .zip(full.moduli())
+            .map(|(&w, m)| NarrowShoup::new(w, m.value()))
+            .collect();
+        let mix = (0..l)
+            .flat_map(|m| {
+                let p = pb.modulus(m).value();
+                let ints = self.int_im.iter().map(move |row| row[m]);
+                let cs = self.c_jm.iter().map(move |row| row[m]);
+                ints.chain(cs).map(move |w| NarrowShoup::new(w, p))
+            })
+            .collect();
+        Some(ScaleLane {
+            tilde,
+            frac_hi: self.frac_fixed.iter().map(|f| f >> 32).collect(),
+            frac_lo: self.frac_fixed.iter().map(|f| f & 0xFFFF_FFFF).collect(),
+            mix,
+        })
+    }
+
+    /// The vector-lane constants, if the context is inside the lane's
+    /// proven range.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    pub(crate) fn lane(&self) -> Option<&ScaleLane> {
+        self.lane.as_ref()
     }
 
     /// The plaintext modulus `t`.
@@ -755,6 +963,12 @@ impl ScaleContext {
     /// Per-coefficient work runs entirely on hoisted scratch rows — no
     /// allocation inside the loop.
     ///
+    /// With [`HpsPrecision::Fixed`] the call routes through the
+    /// [`crate::dispatch`] kernel seam ([`crate::dispatch::Kernels::scale_hps_cols`]):
+    /// the AVX2 lane where the CPU and the bases allow it, the scalar
+    /// body otherwise, bit-identical either way. [`HpsPrecision::F64`]
+    /// (the paper ablation) always runs scalar.
+    ///
     /// # Panics
     ///
     /// Panics if `src`/`out` sizes or the column range are inconsistent.
@@ -767,18 +981,58 @@ impl ScaleContext {
         out: &mut [u64],
         precision: HpsPrecision,
     ) {
-        let qb = ctx.base_q();
-        let pb = ctx.base_p();
-        let (k, l) = (qb.len(), pb.len());
+        match precision {
+            HpsPrecision::Fixed => {
+                crate::dispatch::kernels().scale_hps_cols(self, ctx, src, n, cols, out)
+            }
+            HpsPrecision::F64 => {
+                let w = Self::check_cols_shape(ctx, src, n, &cols, out);
+                self.scale_cols_hps_at(ctx, src, n, cols, out, w, 0, precision)
+            }
+        }
+    }
+
+    /// Checks the flat layout of a column-range scale and returns the
+    /// output stride `cols.len()`.
+    pub(crate) fn check_cols_shape(
+        ctx: &RnsContext,
+        src: &[u64],
+        n: usize,
+        cols: &std::ops::Range<usize>,
+        out: &[u64],
+    ) -> usize {
+        let (k, l) = (ctx.base_q().len(), ctx.base_p().len());
         assert_eq!(src.len(), (k + l) * n, "flat source length mismatch");
         assert!(cols.end <= n, "column range out of bounds");
         let w = cols.len();
         assert_eq!(out.len(), k * w, "flat destination length mismatch");
-        let unlift = ctx.unlift();
         assert!(
             k <= MAX_STREAM_LIMBS && l <= MAX_STREAM_LIMBS,
             "basis exceeds MAX_STREAM_LIMBS"
         );
+        w
+    }
+
+    /// The portable body of [`ScaleContext::scale_poly_hps_cols_into`]
+    /// (the scalar kernel-table entry and the `F64` path): column
+    /// `cols.start + o` lands in output slot `o0 + o` of rows with stride
+    /// `w`. The vector lane finishes its non-multiple-of-4 tails here.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn scale_cols_hps_at(
+        &self,
+        ctx: &RnsContext,
+        src: &[u64],
+        n: usize,
+        cols: std::ops::Range<usize>,
+        out: &mut [u64],
+        w: usize,
+        o0: usize,
+        precision: HpsPrecision,
+    ) {
+        let qb = ctx.base_q();
+        let pb = ctx.base_p();
+        let (k, l) = (qb.len(), pb.len());
+        let unlift = ctx.unlift();
         let mut yq_buf = [0u64; MAX_STREAM_LIMBS];
         let mut yp_buf = [0u64; MAX_STREAM_LIMBS];
         let mut d_p_buf = [0u64; MAX_STREAM_LIMBS];
@@ -787,7 +1041,7 @@ impl ScaleContext {
         let yp = &mut yp_buf[..l];
         let d_p = &mut d_p_buf[..l];
         let ys = &mut ys_buf[..l];
-        for (o, c) in cols.enumerate() {
+        for (o, c) in (o0..).zip(cols) {
             // Step 1 (Fig. 9 Blocks 1–3): d = ⌈t·a/q⌋ in the p basis —
             // the same core the scalar path runs, fed by strided reads.
             self.scale_to_p_core(
@@ -1093,6 +1347,31 @@ mod tests {
         for i in 0..6 {
             assert_eq!(&cols[i * 2..(i + 1) * 2], &hps[i * n + 1..i * n + 3]);
         }
+    }
+
+    #[test]
+    fn vector_lanes_only_inside_proven_range() {
+        let ctx = paper_context();
+        assert!(ctx.lift().lane().is_some() && ctx.unlift().lane().is_some());
+        assert!(ScaleContext::new(&ctx, 65537).lane().is_some());
+
+        let ps = ntt_primes(30, 64, 29).unwrap();
+        let basis = |r: std::ops::Range<usize>| RnsBasis::new(&ps[r]).unwrap();
+        let wide = RnsBasis::new(&[crate::primes::ntt_prime(32, 64, 0).unwrap()]).unwrap();
+        let tiny = RnsBasis::new(&[31]).unwrap();
+        assert!(Extender::new(&basis(0..6), &wide).lane().is_none());
+        assert!(Extender::new(&basis(0..6), &tiny).lane().is_none());
+        // The output reduction covers 3k ≤ 64.
+        assert!(Extender::new(&basis(0..21), &basis(22..25))
+            .lane()
+            .is_some());
+        assert!(Extender::new(&basis(0..22), &basis(22..25))
+            .lane()
+            .is_none());
+        // 20 q limbs: G plus 27 lazy terms can exceed 64·p_m.
+        let ctx = RnsContext::new(&ps[..20], &ps[20..27]).unwrap();
+        assert!(ctx.lift().lane().is_some());
+        assert!(ScaleContext::new(&ctx, 2).lane().is_none());
     }
 
     #[test]

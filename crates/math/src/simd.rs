@@ -1,6 +1,7 @@
-//! AVX2 lane implementations of the three dominant kernels: the Harvey
-//! NTT butterflies, pointwise (Hadamard) multiplication, and the hoisted
-//! key-switch sum-of-products line.
+//! AVX2 lane implementations of the dominant kernels: the Harvey NTT
+//! butterflies, pointwise (Hadamard) multiplication, the hoisted
+//! key-switch sum-of-products line, and the HPS basis conversions `Lift
+//! q→Q` and `Scale Q→q` with fixed-point quotients.
 //!
 //! Everything here is selected at runtime by [`crate::dispatch`]; nothing
 //! in this module is reachable unless `is_x86_feature_detected!("avx2")`
@@ -34,12 +35,54 @@
 //! fits one `u64` lane; reduction is the same single-word Barrett as
 //! [`crate::zq::Modulus::reduce_u64`], giving identical values); wider
 //! moduli fall back to the scalar 128-bit path at the dispatch layer.
+//!
+//! # HPS basis conversion lanes
+//!
+//! `Lift` and `Scale` run 4 adjacent coefficients per vector, so every
+//! limb row is one contiguous `load4(src[i·n + c..])` and no transpose is
+//! needed. Each output is congruent to the scalar one and ends with an
+//! exact reduction to `[0, m)`, and each HPS quotient is computed exactly,
+//! so results are bit-identical to the scalar bodies. The range argument
+//! needs every modulus in `[2^6, 2^31)`; the constructors of
+//! [`crate::rns::Extender`] and [`crate::rns::ScaleContext`] check it
+//! (with the limb-count bounds below) and build the lane constants only
+//! where it holds. Any other basis takes the scalar body.
+//!
+//! * **Premultiply** `y = x·q̃ mod q`: words `≥ 2^32` are first reduced
+//!   exactly by the vector Barrett step (the scalar code reduces any
+//!   `u64`); then the narrow lazy Shoup product, valid for any 32-bit
+//!   operand when `q < 2^31`, lands in `[0, 2q)` and one `csub` makes it
+//!   canonical.
+//! * **Lift quotient** `v = (Σ y_i·r_i + 2^88) >> 89` with
+//!   `r_i = ⌊2^89/q_i⌋ < 2^60`: split `r = r_hi·2^32 + r_lo`, sum
+//!   `A = Σ y·r_hi + Σ (y·r_lo) >> 32` and `B = Σ (y·r_lo) mod 2^32`;
+//!   then `v = (A + (B >> 32) + 2^56) >> 57` exactly. With `y < 2^31` and
+//!   `r_hi < 2^28` every term is below `2^59`, so `A` cannot wrap for
+//!   `k ≤ 21`.
+//! * **Scale's** `G = (Σ yq_i·f_i + 2^63) >> 64` with Q64 constants
+//!   `f_i < 2^64`: the same split, plus one carry limb because
+//!   `yq·f_hi` alone reaches `2^63`.
+//! * **Outputs**: a sum of lazy Shoup terms, each in `[0, 2m)` (the terms
+//!   share one quotient correction, see `lazy_dot`), plus
+//!   `v·(m − M mod m)` in place of the scalar `− v·M` (`v ≤ k`). The Lift
+//!   sum is therefore `< 3k·m`; Scale's step-1 sum is `G` plus `k + l`
+//!   lazy terms, with `G ≤ Σ (q_i − 1)`. The lane requires both below
+//!   `64m`, where a quotient estimate and two `csub`s yield the canonical
+//!   residue. Values stay below `2^37`, so signed compares are safe.
+//!
+//! Column ranges whose length is not a multiple of 4 finish on the scalar
+//! body.
 
 #![allow(unsafe_op_in_unsafe_fn)]
 
 use crate::ntt::NttTable;
+use crate::rns::{
+    Extender, HpsPrecision, LiftLane, NarrowShoup, RnsContext, ScaleContext, ScaleLane,
+    MAX_STREAM_LIMBS,
+};
 use crate::zq::Modulus;
 use core::arch::x86_64::*;
+use std::ops::Range;
 
 /// Moduli below this bound use the narrow (32-bit-operand) NTT kernels:
 /// `q < 2^30` keeps the relaxed range `[0, 4q)` inside 32 bits.
@@ -749,4 +792,248 @@ unsafe fn hsum_pair(v0: __m256i, v1: __m256i) -> (u64, u64) {
     let s1 = _mm_add_epi64(_mm256_castsi256_si128(v1), _mm256_extracti128_si256(v1, 1));
     let t = _mm_add_epi64(_mm_unpacklo_epi64(s0, s1), _mm_unpackhi_epi64(s0, s1));
     (_mm_cvtsi128_si64(t) as u64, _mm_extract_epi64(t, 1) as u64)
+}
+
+// ---------------------------------------------------------------------------
+// HPS basis conversion: Lift q→Q and Scale Q→q (fixed-point quotients)
+// ---------------------------------------------------------------------------
+
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn splat(x: u64) -> __m256i {
+    _mm256_set1_epi64x(x as i64)
+}
+
+/// Exact `x·w mod q` for lanes `x < 2^32`, `q < 2^31`: the narrow lazy
+/// Shoup product in `[0, 2q)` and one `csub`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn mul_narrow(x: __m256i, t: NarrowShoup, qv: __m256i) -> __m256i {
+    csub(mul_lazy_narrow(x, splat(t.w), splat(t.w32), qv), qv)
+}
+
+/// `y = x·w mod q` for any 64-bit lane `x`, exactly as the scalar
+/// `m.mul(m.reduce(x), w)`. Canonical input (every lane `< 2^32`) skips
+/// the Barrett pre-reduction.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn premultiply(x: __m256i, m: &Modulus, t: NarrowShoup) -> __m256i {
+    let qv = splat(m.value());
+    let x = if _mm256_testz_si256(x, splat(!0xFFFF_FFFF)) == 1 {
+        x
+    } else {
+        reduce_u64_vec(x, splat(m.barrett_64()), qv)
+    };
+    mul_narrow(x, t, qv)
+}
+
+/// `⌊2^37/m⌋` for each modulus — the quotient-estimate constants of
+/// [`reduce_below_64m`], computed once per call on the stack.
+fn mu_table(moduli: &[Modulus]) -> [u64; MAX_STREAM_LIMBS] {
+    let mut mu = [0u64; MAX_STREAM_LIMBS];
+    for (mu, m) in mu.iter_mut().zip(moduli) {
+        *mu = (1 << 37) / m.value();
+    }
+    mu
+}
+
+/// Exact `[0, 64m) → [0, m)` reduction for `32 < m < 2^31`: with
+/// `μ = ⌊2^37/m⌋ < 2^32`, the estimate `q̂ = ⌊⌊x/32⌋·μ/2^32⌋` undershoots
+/// `⌊x/m⌋` by less than `1 + x/2^37 + 32/m < 3`, so `x − q̂·m` is in
+/// `[0, 3m)` and two `csub`s finish.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn reduce_below_64m(x: __m256i, qv: __m256i, mu: u64) -> __m256i {
+    let q_hat = _mm256_srli_epi64(_mm256_mul_epu32(_mm256_srli_epi64(x, 5), splat(mu)), 32);
+    let r = _mm256_sub_epi64(x, _mm256_mul_epu32(q_hat, qv));
+    csub(csub(r, _mm256_slli_epi64(qv, 1)), qv)
+}
+
+/// `base + Σ y_i·c_i` relaxed modulo `q`: each lazy Shoup term
+/// `w·y − q̂·q` lies in `[0, 2q)`, and the terms share one correction
+/// `Σ w·y − q·Σ q̂` in wrapping arithmetic — exact, because the true sum
+/// is below `2^64` (`Σ q̂ < len·2^32` needs the two-`pmuludq` product).
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn lazy_dot(base: __m256i, ys: &[__m256i], row: &[NarrowShoup], qv: __m256i) -> __m256i {
+    let mut prod = base;
+    let mut q_hat = _mm256_setzero_si256();
+    for (&y, c) in ys.iter().zip(row) {
+        prod = _mm256_add_epi64(prod, _mm256_mul_epu32(y, splat(c.w)));
+        q_hat = _mm256_add_epi64(
+            q_hat,
+            _mm256_srli_epi64(_mm256_mul_epu32(y, splat(c.w32)), 32),
+        );
+    }
+    let q_hat_q = _mm256_add_epi64(
+        _mm256_mul_epu32(q_hat, qv),
+        _mm256_slli_epi64(_mm256_mul_epu32(_mm256_srli_epi64(q_hat, 32), qv), 32),
+    );
+    _mm256_sub_epi64(prod, q_hat_q)
+}
+
+/// Fig. 6 Blocks 2–4 on 4 adjacent coefficients: `ys` holds the
+/// premultiplied residues over the source basis; output row `j` of the
+/// destination basis is stored at `out + j·w`.
+///
+/// # Safety
+///
+/// The CPU supports AVX2, `lane` is `ext`'s lane, and the four words at
+/// `out + j·w` are writable for every destination row `j`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn extend_block(
+    ext: &Extender,
+    lane: &LiftLane,
+    mu: &[u64],
+    ys: &[__m256i],
+    out: *mut u64,
+    w: usize,
+) {
+    let k = ys.len();
+    let mask = splat(0xFFFF_FFFF);
+    let mut a = splat(1 << 56);
+    let mut b = _mm256_setzero_si256();
+    for ((&y, &hi), &lo) in ys.iter().zip(&lane.recip_hi).zip(&lane.recip_lo) {
+        let p = _mm256_mul_epu32(y, splat(lo));
+        a = _mm256_add_epi64(
+            a,
+            _mm256_add_epi64(_mm256_mul_epu32(y, splat(hi)), _mm256_srli_epi64(p, 32)),
+        );
+        b = _mm256_add_epi64(b, _mm256_and_si256(p, mask));
+    }
+    let v = _mm256_srli_epi64(_mm256_add_epi64(a, _mm256_srli_epi64(b, 32)), 57);
+    let rows = lane.cross_t.chunks_exact(k).zip(&lane.neg_product);
+    for (j, ((row, &neg), (m, &mu))) in rows.zip(ext.to_basis().moduli().iter().zip(mu)).enumerate()
+    {
+        let qv = splat(m.value());
+        let acc = lazy_dot(_mm256_mul_epu32(v, splat(neg)), ys, row, qv);
+        store4(out.add(j * w), reduce_below_64m(acc, qv, mu));
+    }
+}
+
+/// HPS `Lift` of columns `cols`, 4 per vector.
+///
+/// # Safety
+///
+/// The CPU supports AVX2, and the layout holds as
+/// [`Extender::check_cols_shape`] checks it: `src.len() = k·n`,
+/// `cols.end ≤ n` and `out.len() = l·cols.len()`. Loads and stores are
+/// unchecked pointer offsets within those bounds.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn extend_hps_cols(
+    ext: &Extender,
+    lane: &LiftLane,
+    src: &[u64],
+    n: usize,
+    cols: Range<usize>,
+    out: &mut [u64],
+) {
+    let from = ext.from_basis();
+    let w = cols.len();
+    let w4 = w & !3;
+    let mu = mu_table(ext.to_basis().moduli());
+    let mut ys_buf = [_mm256_setzero_si256(); MAX_STREAM_LIMBS];
+    let ys = &mut ys_buf[..from.len()];
+    let (sp, op) = (src.as_ptr(), out.as_mut_ptr());
+    for o in (0..w4).step_by(4) {
+        let c = cols.start + o;
+        for ((i, y), m) in ys.iter_mut().enumerate().zip(from.moduli()) {
+            *y = premultiply(load4(sp.add(i * n + c)), m, lane.tilde[i]);
+        }
+        extend_block(ext, lane, &mu, ys, op.add(o), w);
+    }
+    ext.extend_cols_hps_at(
+        src,
+        n,
+        cols.start + w4..cols.end,
+        out,
+        w,
+        w4,
+        HpsPrecision::Fixed,
+    );
+}
+
+/// HPS `Scale Q→q` of columns `cols`, 4 per vector: step 1 computes
+/// `d = ⌈t·a/q⌋` in the p basis, step 2 premultiplies it for the `p → q`
+/// extender and runs [`extend_block`].
+///
+/// # Safety
+///
+/// The CPU supports AVX2, `unlift` is `ctx.unlift()`'s lane, and the
+/// layout holds as [`ScaleContext::check_cols_shape`] checks it:
+/// `src.len() = (k + l)·n`, `cols.end ≤ n` and `out.len() = k·cols.len()`.
+/// Loads and stores are unchecked pointer offsets within those bounds.
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn scale_hps_cols(
+    sc: &ScaleContext,
+    lane: &ScaleLane,
+    ctx: &RnsContext,
+    unlift: &LiftLane,
+    src: &[u64],
+    n: usize,
+    cols: Range<usize>,
+    out: &mut [u64],
+) {
+    let full = ctx.base_full();
+    let pb = ctx.base_p();
+    let k = ctx.base_q().len();
+    let kl = full.len();
+    let w = cols.len();
+    let w4 = w & !3;
+    let mask = splat(0xFFFF_FFFF);
+    let mu_p = mu_table(pb.moduli());
+    let mu_q = mu_table(ctx.base_q().moduli());
+    let mut ys_buf = [_mm256_setzero_si256(); MAX_STREAM_LIMBS];
+    let mut ds_buf = [_mm256_setzero_si256(); MAX_STREAM_LIMBS];
+    let ys = &mut ys_buf[..kl];
+    let ds = &mut ds_buf[..pb.len()];
+    let (sp, op) = (src.as_ptr(), out.as_mut_ptr());
+    for o in (0..w4).step_by(4) {
+        let c = cols.start + o;
+        for ((r, y), m) in ys.iter_mut().enumerate().zip(full.moduli()) {
+            *y = premultiply(load4(sp.add(r * n + c)), m, lane.tilde[r]);
+        }
+        // G = (Σ yq·f + 2^63) >> 64 over the q limbs, f = f_hi·2^32 + f_lo.
+        let (mut a_hi, mut a_lo, mut b) = (
+            _mm256_setzero_si256(),
+            _mm256_setzero_si256(),
+            _mm256_setzero_si256(),
+        );
+        for ((&y, &hi), &lo) in ys[..k].iter().zip(&lane.frac_hi).zip(&lane.frac_lo) {
+            let p = _mm256_mul_epu32(y, splat(lo));
+            let t = _mm256_add_epi64(_mm256_mul_epu32(y, splat(hi)), _mm256_srli_epi64(p, 32));
+            a_hi = _mm256_add_epi64(a_hi, _mm256_srli_epi64(t, 32));
+            a_lo = _mm256_add_epi64(a_lo, _mm256_and_si256(t, mask));
+            b = _mm256_add_epi64(b, _mm256_and_si256(p, mask));
+        }
+        let carry = _mm256_add_epi64(
+            _mm256_add_epi64(a_lo, _mm256_srli_epi64(b, 32)),
+            splat(1 << 31),
+        );
+        let g = _mm256_add_epi64(a_hi, _mm256_srli_epi64(carry, 32));
+        for ((((d, row), m), &t), &mu) in ds
+            .iter_mut()
+            .zip(lane.mix.chunks_exact(kl))
+            .zip(pb.moduli())
+            .zip(&unlift.tilde)
+            .zip(&mu_p)
+        {
+            let pv = splat(m.value());
+            let acc = lazy_dot(g, ys, row, pv);
+            *d = mul_narrow(reduce_below_64m(acc, pv, mu), t, pv);
+        }
+        extend_block(ctx.unlift(), unlift, &mu_q, ds, op.add(o), w);
+    }
+    sc.scale_cols_hps_at(
+        ctx,
+        src,
+        n,
+        cols.start + w4..cols.end,
+        out,
+        w,
+        w4,
+        HpsPrecision::Fixed,
+    );
 }

@@ -15,10 +15,17 @@
 //! just under `2^62` (wide path), with inputs relaxed across the full
 //! Harvey lazy range `[0, 4q)` for the forward transform and `[0, 2q)`
 //! for the inverse.
+//!
+//! The HPS basis conversions (`extend_hps_cols`, `scale_hps_cols`) are
+//! compared on the toy (3+4), medium and paper (6+7 × 30-bit) bases at
+//! n ∈ {64, 256, 4096}, on arbitrary `u64` words as well as canonical
+//! residues and edge values, over column ranges that start and end off
+//! the 4-lane grid.
 
 use hefv_math::dispatch::{self, Kernels};
 use hefv_math::ntt::NttTable;
-use hefv_math::primes::ntt_prime;
+use hefv_math::primes::{ntt_prime, ntt_primes};
+use hefv_math::rns::{Extender, HpsPrecision, RnsBasis, RnsContext, ScaleContext};
 use hefv_math::zq::Modulus;
 use proptest::prelude::*;
 
@@ -37,6 +44,120 @@ fn fill(seed: u64, len: usize, bound: u64) -> Vec<u64> {
             state % bound
         })
         .collect()
+}
+
+/// Deterministic fill of `len` arbitrary 64-bit words from a seed.
+fn fill_any(seed: u64, len: usize) -> Vec<u64> {
+    let mut state = seed | 1;
+    (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state ^ (state >> 29)
+        })
+        .collect()
+}
+
+/// The toy (n = 64, 3+4), medium (n = 256, 6+7) and paper (n = 4096, 6+7)
+/// RNS contexts, all over 30-bit NTT primes.
+fn hps_context(which: usize) -> RnsContext {
+    let (n, k, l) = [(64, 3, 4), (256, 6, 7), (4096, 6, 7)][which];
+    let ps = ntt_primes(30, n, k + l).unwrap();
+    RnsContext::new(&ps[..k], &ps[k..]).unwrap()
+}
+
+/// A flat `basis.len() × n` source: canonical residues (mode 0), arbitrary
+/// `u64` words (mode 1), or per-word edge values `0, q−1, ⌊q/2⌋, ⌊q/2⌋+1`
+/// (mode 2).
+fn hps_source(basis: &RnsBasis, n: usize, mode: u8, seed: u64) -> Vec<u64> {
+    let raw = fill_any(seed, basis.len() * n);
+    raw.iter()
+        .enumerate()
+        .map(|(idx, &x)| {
+            let q = basis.modulus(idx / n).value();
+            match mode {
+                0 => x % q,
+                1 => x,
+                _ => [0, q - 1, q / 2, q / 2 + 1][(x % 4) as usize],
+            }
+        })
+        .collect()
+}
+
+/// Lift and unlift of `src` columns `cols` through both tables; panics
+/// with context on the first mismatch.
+fn assert_extend_identical(
+    scalar: &Kernels,
+    avx2: &Kernels,
+    ext: &Extender,
+    src: &[u64],
+    n: usize,
+    cols: std::ops::Range<usize>,
+) {
+    let len = ext.to_basis().len() * cols.len();
+    let (mut a, mut b) = (vec![0u64; len], vec![1u64; len]);
+    scalar.extend_hps_cols(ext, src, n, cols.clone(), &mut a);
+    avx2.extend_hps_cols(ext, src, n, cols.clone(), &mut b);
+    assert_eq!(a, b, "extend n={n} cols={cols:?}");
+}
+
+fn assert_scale_identical(
+    scalar: &Kernels,
+    avx2: &Kernels,
+    sc: &ScaleContext,
+    ctx: &RnsContext,
+    src: &[u64],
+    n: usize,
+    cols: std::ops::Range<usize>,
+) {
+    let len = ctx.base_q().len() * cols.len();
+    let (mut a, mut b) = (vec![0u64; len], vec![1u64; len]);
+    scalar.scale_hps_cols(sc, ctx, src, n, cols.clone(), &mut a);
+    avx2.scale_hps_cols(sc, ctx, src, n, cols.clone(), &mut b);
+    assert_eq!(a, b, "scale n={n} cols={cols:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn extend_hps_bit_identical(
+        which in 0usize..3,
+        mode in 0u8..3,
+        lo in any::<u64>(),
+        hi in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let Some((scalar, avx2)) = both_tables() else { return Ok(()); };
+        let ctx = hps_context(which);
+        let n = [64, 256, 4096][which];
+        let (a, b) = ((lo % (n as u64 + 1)) as usize, (hi % (n as u64 + 1)) as usize);
+        let cols = a.min(b)..a.max(b);
+        let src = hps_source(ctx.base_q(), n, mode, seed);
+        assert_extend_identical(scalar, avx2, ctx.lift(), &src, n, cols.clone());
+        let src = hps_source(ctx.base_p(), n, mode, seed ^ 0xF00D);
+        assert_extend_identical(scalar, avx2, ctx.unlift(), &src, n, cols);
+    }
+
+    #[test]
+    fn scale_hps_bit_identical(
+        which in 0usize..3,
+        mode in 0u8..3,
+        t_idx in 0usize..3,
+        lo in any::<u64>(),
+        hi in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let Some((scalar, avx2)) = both_tables() else { return Ok(()); };
+        let ctx = hps_context(which);
+        let sc = ScaleContext::new(&ctx, [2, 257, 65537][t_idx]);
+        let n = [64, 256, 4096][which];
+        let (a, b) = ((lo % (n as u64 + 1)) as usize, (hi % (n as u64 + 1)) as usize);
+        let cols = a.min(b)..a.max(b);
+        let src = hps_source(ctx.base_full(), n, mode, seed);
+        assert_scale_identical(scalar, avx2, &sc, &ctx, &src, n, cols);
+    }
 }
 
 proptest! {
@@ -197,6 +318,85 @@ fn dispatch_width_boundaries() {
     }
 }
 
+/// Every limb at one of `0, q−1, ⌊q/2⌋, ⌊q/2⌋+1` — all limbs equal per
+/// column, then staggered across limbs — over full and off-grid ranges.
+#[test]
+fn hps_edge_values_bit_identical() {
+    let Some((scalar, avx2)) = both_tables() else {
+        eprintln!("skipping: AVX2 not available on this CPU");
+        return;
+    };
+    let n = 64usize;
+    for which in 0..3 {
+        let ctx = hps_context(which);
+        let sc = ScaleContext::new(&ctx, 2);
+        let edges = |basis: &RnsBasis, stagger: usize| -> Vec<u64> {
+            (0..basis.len() * n)
+                .map(|idx| {
+                    let (i, c) = (idx / n, idx % n);
+                    let q = basis.modulus(i).value();
+                    [0, q - 1, q / 2, q / 2 + 1][(c + i * stagger) % 4]
+                })
+                .collect()
+        };
+        for stagger in [0, 1] {
+            for cols in [0..n, 1..n - 1, 3..9, 5..6] {
+                let src = edges(ctx.base_q(), stagger);
+                assert_extend_identical(scalar, avx2, ctx.lift(), &src, n, cols.clone());
+                let src = edges(ctx.base_p(), stagger);
+                assert_extend_identical(scalar, avx2, ctx.unlift(), &src, n, cols.clone());
+                let src = edges(ctx.base_full(), stagger);
+                assert_scale_identical(scalar, avx2, &sc, &ctx, &src, n, cols);
+            }
+        }
+    }
+}
+
+/// Bases outside the Lift/Scale lane's proven range — a destination
+/// modulus at or above 2^31 or below 2^6, 22 source limbs (the output
+/// reduction covers `3k ≤ 64`), a step-1 sum that can reach `64·p_m` —
+/// take the scalar body through the AVX2 table and still match; 21 limbs
+/// stay on the lane and match too.
+#[test]
+fn hps_lane_range_boundaries() {
+    let Some((scalar, avx2)) = both_tables() else {
+        eprintln!("skipping: AVX2 not available on this CPU");
+        return;
+    };
+    let n = 64usize;
+    let ps30 = ntt_primes(30, n, 29).unwrap();
+    let wide: Vec<u64> = [31u32, 32, 40]
+        .iter()
+        .map(|&bits| ntt_prime(bits, n, 0).unwrap())
+        .collect();
+    assert!(wide.iter().all(|&q| q >= 1 << 30));
+    let from = RnsBasis::new(&ps30[..6]).unwrap();
+    let mut to_primes = ps30[6..9].to_vec();
+    to_primes.extend(&wide);
+    let to = RnsBasis::new(&to_primes).unwrap();
+    let ext = Extender::new(&from, &to);
+    let src = hps_source(&from, n, 1, 7);
+    assert_extend_identical(scalar, avx2, &ext, &src, n, 0..n);
+    let tiny = RnsBasis::new(&[31, ps30[6]]).unwrap();
+    assert_extend_identical(scalar, avx2, &Extender::new(&from, &tiny), &src, n, 3..n);
+
+    // 31-bit primes push the output sums toward the 64m reduction bound.
+    let ps31 = ntt_primes(31, n, 24).unwrap();
+    for (ps, k) in [(&ps30, 21usize), (&ps30, 22), (&ps31, 21)] {
+        let from = RnsBasis::new(&ps[..k]).unwrap();
+        let to = RnsBasis::new(&ps[k..k + 3]).unwrap();
+        let ext = Extender::new(&from, &to);
+        let src = hps_source(&from, n, 1, k as u64);
+        assert_extend_identical(scalar, avx2, &ext, &src, n, 1..n);
+    }
+
+    // 20 q limbs: G alone can reach ~20·p_m, and 27 lazy terms add 54·p_m.
+    let ctx = RnsContext::new(&ps30[..20], &ps30[20..27]).unwrap();
+    let sc = ScaleContext::new(&ctx, 2);
+    let src = hps_source(ctx.base_full(), n, 1, 99);
+    assert_scale_identical(scalar, avx2, &sc, &ctx, &src, n, 2..n);
+}
+
 /// The process-wide selection honors the documented env-override order;
 /// whichever table is active, its output matches the scalar table.
 #[test]
@@ -209,4 +409,22 @@ fn active_table_matches_scalar() {
     dispatch::kernels().ntt_forward(&table, &mut active);
     dispatch::scalar_kernels().ntt_forward(&table, &mut scalar);
     assert_eq!(active, scalar, "backend={}", dispatch::backend_name());
+
+    // The public Fixed-precision entry points route through the active
+    // table and agree with the scalar one.
+    let ctx = hps_context(1);
+    let src = hps_source(ctx.base_q(), n, 0, 5);
+    let mut active = vec![0u64; ctx.base_p().len() * n];
+    let mut scalar = active.clone();
+    ctx.lift()
+        .extend_poly_hps_into(&src, n, &mut active, HpsPrecision::Fixed);
+    dispatch::scalar_kernels().extend_hps_cols(ctx.lift(), &src, n, 0..n, &mut scalar);
+    assert_eq!(active, scalar, "lift backend={}", dispatch::backend_name());
+    let sc = ScaleContext::new(&ctx, 2);
+    let src = hps_source(ctx.base_full(), n, 0, 6);
+    let mut active = vec![0u64; ctx.base_q().len() * n];
+    let mut scalar = active.clone();
+    sc.scale_poly_hps_into(&ctx, &src, n, &mut active, HpsPrecision::Fixed);
+    dispatch::scalar_kernels().scale_hps_cols(&sc, &ctx, &src, n, 0..n, &mut scalar);
+    assert_eq!(active, scalar, "scale backend={}", dispatch::backend_name());
 }

@@ -171,8 +171,19 @@ fn chaos_panic_cycles_leak_no_threads_fds_or_replies() {
     let mut rng = StdRng::seed_from_u64(77);
     let (_sk, pk, rlk) = keygen(&ctx, &mut rng);
     let (t, n) = (ctx.params().t, ctx.params().n);
-    const TTL: Duration = Duration::from_millis(20);
+    // The quarantine starts at the K-th strike, and the remaining
+    // submissions must all reach admission before it lapses. They are
+    // encrypted up front, so that window holds only one reply wake-up and
+    // five admission refusals; 200 ms covers it with wide margin even
+    // with the CPUs oversubscribed.
+    const TTL: Duration = Duration::from_millis(200);
     let cycle = |rng: &mut StdRng| {
+        let enc =
+            |v: u64, rng: &mut StdRng| encrypt(&ctx, &pk, &Plaintext::new(vec![v], t, n), rng);
+        let reqs: Vec<EvalRequest> = (0..8)
+            .map(|_| EvalRequest::binary(1, EvalOp::Mul, enc(2, rng), enc(3, rng)))
+            .collect();
+        let after_expiry = EvalRequest::binary(1, EvalOp::Mul, enc(4, rng), enc(5, rng));
         let engine = Engine::start(
             Arc::clone(&ctx),
             EngineConfig {
@@ -190,11 +201,8 @@ fn chaos_panic_cycles_leak_no_threads_fds_or_replies() {
             },
         );
         engine.register_tenant(1, TenantKeys::compute(pk.clone(), rlk.clone()));
-        let enc =
-            |v: u64, rng: &mut StdRng| encrypt(&ctx, &pk, &Plaintext::new(vec![v], t, n), rng);
         let (mut panicked, mut quarantined) = (0u32, 0u32);
-        for _ in 0..8 {
-            let req = EvalRequest::binary(1, EvalOp::Mul, enc(2, rng), enc(3, rng));
+        for req in reqs {
             // Exactly one answer per submission: a refusal at the door
             // or a (failed) reply from the worker. A lost correlation
             // would hang `call` forever — the suite timeout catches it.
@@ -212,9 +220,11 @@ fn chaos_panic_cycles_leak_no_threads_fds_or_replies() {
         // (and panics) again, and the gauge self-corrects on scrape.
         std::thread::sleep(TTL + Duration::from_millis(10));
         assert_eq!(engine.stats().quarantine_active, 0, "TTL sweep");
-        let req = EvalRequest::binary(1, EvalOp::Mul, enc(4, rng), enc(5, rng));
         assert_eq!(
-            engine.call(req).expect_err("still panicking").code(),
+            engine
+                .call(after_expiry)
+                .expect_err("still panicking")
+                .code(),
             ErrorCode::Internal,
             "expired quarantine admits the signature again"
         );
