@@ -5,7 +5,11 @@
 //! The strict transforms (`forward_strict`/`inverse_strict`) are the exact
 //! pre-overhaul implementation, kept in-tree as the oracle — so the
 //! speedup this bench reports is a live before/after measurement, not a
-//! stale number. Results are printed as a table and written to
+//! stale number. The lazy column times the scalar lazy transforms
+//! (`forward_scalar`/`inverse_scalar`), not the dispatched
+//! `forward`/`inverse`: those run the AVX2 lane where the CPU has it, and
+//! the vector speedup would hide a lazy-reduction regression. The SIMD
+//! lane has its own comparison below. Results are printed as a table and written to
 //! `$BENCH_PR4_OUT` (default `BENCH_PR4.json` in the crate directory; CI
 //! uploads it as an artifact).
 //!
@@ -105,7 +109,7 @@ fn main() {
     let lazy_fwd = min_time(
         || {
             let mut x = input.clone();
-            table.forward(&mut x);
+            table.forward_scalar(&mut x);
             black_box(x);
         },
         quick,
@@ -123,7 +127,7 @@ fn main() {
     let lazy_inv = min_time(
         || {
             let mut x = frev.clone();
-            table.inverse(&mut x);
+            table.inverse_scalar(&mut x);
             black_box(x);
         },
         quick,

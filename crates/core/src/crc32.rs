@@ -1,46 +1,27 @@
 //! CRC32 (IEEE 802.3, reflected) — the integrity checksum guarding the
 //! net envelope trailer and the `HEVR` registry-snapshot format.
 //!
-//! Table-driven over the reflected polynomial `0xEDB88320`, computed at
-//! compile time so there is no runtime init and no dependency. The
-//! polynomial's minimum distance guarantees every single-bit flip (and
-//! every burst up to 32 bits) changes the checksum, which is what makes
-//! the corruption-injection tests deterministic rather than
+//! [`crc32`] dispatches through the process-wide kernel table
+//! ([`hefv_math::dispatch::Kernels::crc32_update`]). The AVX2 table folds
+//! 64-byte blocks with PCLMULQDQ where the CPU has it; the scalar table
+//! runs the byte-at-a-time lookup over the reflected polynomial
+//! `0xEDB88320`, which stays the oracle every lane is tested against.
+//! `HEFV_KERNEL=scalar` / `HEFV_FORCE_SCALAR=1` pin the table body like
+//! every other kernel. All lanes return the same value, so the choice
+//! never shows on the wire.
+//!
+//! The polynomial's minimum distance guarantees every single-bit flip
+//! (and every burst up to 32 bits) changes the checksum, which is what
+//! makes the corruption-injection tests deterministic rather than
 //! probabilistic: an injected flip is *always* caught.
 
-/// The reflected IEEE polynomial.
-const POLY: u32 = 0xEDB8_8320;
-
-/// Byte-at-a-time lookup table, built in a `const` context.
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ POLY
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
+use hefv_math::dispatch::kernels;
 
 /// CRC32 of `bytes` (init `!0`, final xor `!0` — the common "CRC-32"
 /// every zlib/Ethernet implementation computes).
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
+    !kernels().crc32_update(!0, bytes)
 }
 
 #[cfg(test)]

@@ -71,31 +71,30 @@ pub fn decode_ciphertext(ctx: &FvContext, bytes: &[u8]) -> Result<Ciphertext, Er
             bytes.len()
         )));
     }
-    let mut off = 12;
-    let mut read_poly = || -> RnsPoly {
-        // One flat k·n read straight into the polynomial's contiguous
-        // storage — no per-row vectors.
+    // One pass per polynomial: each residue row is read straight into
+    // the contiguous k·n storage and range-checked against its modulus
+    // (C-VALIDATE) as it is read.
+    let (p0, p1) = bytes[12..].split_at(k * n * 4);
+    let read_poly = |raw: &[u8], name: &str| -> Result<RnsPoly, Error> {
         let mut data = Vec::with_capacity(k * n);
-        for _ in 0..k * n {
-            let b = &bytes[off..off + 4];
-            data.push(u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as u64);
-            off += 4;
-        }
-        RnsPoly::from_flat(data, k, Domain::Coefficient)
-    };
-    let c0 = read_poly();
-    let c1 = read_poly();
-    // Validate coefficients against the moduli (C-VALIDATE).
-    for (poly, name) in [(&c0, "c0"), (&c1, "c1")] {
-        for (i, row) in poly.rows().enumerate() {
+        for (i, row) in raw.chunks_exact(n * 4).enumerate() {
             let q = ctx.base_q().modulus(i).value();
-            if row.iter().any(|&c| c >= q) {
+            let mut in_range = true;
+            data.extend(row.chunks_exact(4).map(|b| {
+                let c = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as u64;
+                in_range &= c < q;
+                c
+            }));
+            if !in_range {
                 return Err(Error::Wire(format!(
                     "{name} residue {i} has out-of-range coefficient"
                 )));
             }
         }
-    }
+        Ok(RnsPoly::from_flat(data, k, Domain::Coefficient))
+    };
+    let c0 = read_poly(p0, "c0")?;
+    let c1 = read_poly(p1, "c1")?;
     Ok(Ciphertext { c0, c1 })
 }
 
@@ -427,6 +426,26 @@ mod tests {
         let len = bytes.len();
         bytes[len - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_ciphertext(&ctx, &bytes).is_err(), "out of range");
+    }
+
+    #[test]
+    fn refuses_out_of_range_coefficient_in_last_row_of_c1() {
+        let (ctx, _, ct) = setup();
+        let (k, n) = (ctx.params().k(), ctx.params().n);
+        let q = ctx.base_q().modulus(k - 1).value() as u32;
+        // First coefficient of c1's last residue row, set to exactly q.
+        let off = 12 + (2 * k - 1) * n * 4;
+        let mut bytes = encode_ciphertext(&ct);
+        bytes[off..off + 4].copy_from_slice(&q.to_le_bytes());
+        match decode_ciphertext(&ctx, &bytes) {
+            Err(Error::Wire(msg)) => assert_eq!(
+                msg,
+                format!("c1 residue {} has out-of-range coefficient", k - 1)
+            ),
+            other => panic!("expected a wire error, got {other:?}"),
+        }
+        bytes[off..off + 4].copy_from_slice(&(q - 1).to_le_bytes());
+        assert!(decode_ciphertext(&ctx, &bytes).is_ok(), "q - 1 is in range");
     }
 
     #[test]

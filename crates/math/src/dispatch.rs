@@ -2,14 +2,18 @@
 //!
 //! Per-op telemetry shows that NTTs, pointwise (Hadamard) products, the
 //! hoisted key-switch sum-of-products and the HPS basis conversions
-//! dominate eval time. This module is the single seam those hot paths
-//! route through. A [`Kernels`] table holds five dispatched kernels:
+//! dominate eval time, and the transport trace shows the CRC-32 of every
+//! checked envelope dominating the net hop. This module is the single
+//! seam those hot paths route through. A [`Kernels`] table holds six
+//! dispatched kernels:
 //!
 //! 1. the forward and inverse negacyclic NTT of one residue row;
 //! 2. pointwise product, in-place product and multiply-accumulate;
 //! 3. one residue row of the narrow hoisted key-switch sum-of-products;
 //! 4. HPS `Lift q→Q` over a column range ([`Kernels::extend_hps_cols`]);
-//! 5. HPS `Scale Q→q` over a column range ([`Kernels::scale_hps_cols`]).
+//! 5. HPS `Scale Q→q` over a column range ([`Kernels::scale_hps_cols`]);
+//! 6. the CRC-32 register update over a byte slice
+//!    ([`Kernels::crc32_update`]).
 //!
 //! The table is selected **once** per process:
 //!
@@ -40,9 +44,17 @@
 //! Only [`HpsPrecision::Fixed`] dispatches; the `F64` ablation stays
 //! scalar.
 //!
+//! The AVX2 table's CRC-32 entry is a PCLMULQDQ fold over 64-byte
+//! blocks. It needs `pclmulqdq` and `sse4.1` on top of AVX2 and checks
+//! both on every call (std caches the detection); without them, and for
+//! inputs under 64 bytes, it runs the scalar byte-table body. CRC values
+//! are integers, not residues, so bit-identity here is plain equality
+//! with the table oracle.
+//!
 //! Tests can bypass the process-wide selection with [`scalar_kernels`]
 //! and [`avx2_kernels`] to compare both paths in one process.
 
+use crate::crc32;
 use crate::ntt::NttTable;
 use crate::rns::{Extender, HpsPrecision, RnsContext, ScaleContext};
 use crate::zq::Modulus;
@@ -83,6 +95,7 @@ pub struct Kernels {
     extend_hps_cols: fn(&Extender, &[u64], usize, Range<usize>, &mut [u64]),
     #[allow(clippy::type_complexity)]
     scale_hps_cols: fn(&ScaleContext, &RnsContext, &[u64], usize, Range<usize>, &mut [u64]),
+    crc32_update: fn(u32, &[u8]) -> u32,
 }
 
 impl Kernels {
@@ -261,6 +274,15 @@ impl Kernels {
         ScaleContext::check_cols_shape(ctx, src, n, &cols, out);
         (self.scale_hps_cols)(sc, ctx, src, n, cols, out)
     }
+
+    /// Advances the reflected CRC-32 (IEEE 802.3, polynomial
+    /// `0xEDB88320`) register `state` over `bytes`. The conventional
+    /// checksum is `!crc32_update(!0, bytes)`; chaining updates over
+    /// consecutive slices equals one update over their concatenation.
+    #[inline]
+    pub fn crc32_update(&self, state: u32, bytes: &[u8]) -> u32 {
+        (self.crc32_update)(state, bytes)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -359,11 +381,13 @@ static SCALAR: Kernels = Kernels {
     sop_narrow_row: sop_narrow_row_scalar,
     extend_hps_cols: extend_hps_cols_scalar,
     scale_hps_cols: scale_hps_cols_scalar,
+    crc32_update: crc32::update_table,
 };
 
 // ---------------------------------------------------------------------------
 // AVX2 table — per-call width selection, scalar fallback where a vector
-// path does not apply (wide pointwise moduli, short SoP digit lines).
+// path does not apply (wide pointwise moduli, short SoP digit lines, CPUs
+// without PCLMULQDQ).
 // ---------------------------------------------------------------------------
 
 // Safety of every `unsafe` call below: these functions are only reachable
@@ -462,6 +486,17 @@ mod avx2 {
         }
     }
 
+    fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+        if std::arch::is_x86_feature_detected!("pclmulqdq")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+        {
+            // SAFETY: both features the fold needs were detected above.
+            unsafe { crc32::update_clmul(state, bytes) }
+        } else {
+            crc32::update_table(state, bytes)
+        }
+    }
+
     pub(super) static TABLE: Kernels = Kernels {
         backend: KernelBackend::Avx2,
         ntt_forward,
@@ -472,6 +507,7 @@ mod avx2 {
         sop_narrow_row,
         extend_hps_cols,
         scale_hps_cols,
+        crc32_update,
     };
 }
 

@@ -21,9 +21,10 @@
 //!   for HPS's floating-point divisions (89-bit fractions).
 //! * [`dispatch`] — the runtime kernel seam: the NTT butterflies, the
 //!   pointwise products, the hoisted key-switch sum-of-products and the
-//!   fixed-point HPS `Lift`/`Scale` basis conversions all route through a
-//!   per-process function table that picks AVX2 lane implementations
-//!   when the CPU has them (scalar fallback otherwise,
+//!   fixed-point HPS `Lift`/`Scale` basis conversions and the CRC-32 of
+//!   the transport envelope all route through a per-process function
+//!   table that picks AVX2 (and, for the CRC, PCLMULQDQ) lane
+//!   implementations when the CPU has them (scalar fallback otherwise,
 //!   `HEFV_FORCE_SCALAR` / `HEFV_KERNEL` to override).
 //!
 //! # The kernel dispatch seam
@@ -84,6 +85,7 @@
 //! ```
 
 pub mod bigint;
+mod crc32;
 pub mod dispatch;
 pub mod fixed;
 pub mod ntt;

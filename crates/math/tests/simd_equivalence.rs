@@ -21,6 +21,11 @@
 //! n ∈ {64, 256, 4096}, on arbitrary `u64` words as well as canonical
 //! residues and edge values, over column ranges that start and end off
 //! the 4-lane grid.
+//!
+//! The CRC-32 update (`crc32_update`) is compared on lengths up to 8 KiB
+//! at unaligned start offsets with arbitrary register states, on one
+//! 393,283-byte request frame, on chained updates over a random split,
+//! and at the fold's block boundaries.
 
 use hefv_math::dispatch::{self, Kernels};
 use hefv_math::ntt::NttTable;
@@ -397,6 +402,96 @@ fn hps_lane_range_boundaries() {
     assert_scale_identical(scalar, avx2, &sc, &ctx, &src, n, 2..n);
 }
 
+/// Deterministic pseudo-random bytes from a seed.
+fn bytes(seed: u64, len: usize) -> Vec<u8> {
+    fill_any(seed, len)
+        .iter()
+        .map(|&w| (w >> 24) as u8)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn crc32_bit_identical(
+        len in 0usize..=8192,
+        offset in 0usize..=15,
+        state in any::<u32>(),
+        seed in any::<u64>(),
+    ) {
+        let Some((scalar, avx2)) = both_tables() else { return Ok(()); };
+        let buf = bytes(seed, offset + len);
+        let slice = &buf[offset..];
+        prop_assert_eq!(
+            avx2.crc32_update(state, slice),
+            scalar.crc32_update(state, slice),
+            "len={} offset={}", len, offset
+        );
+    }
+
+    #[test]
+    fn crc32_chained_split_equals_whole(
+        len in 0usize..=8192,
+        cut in any::<u64>(),
+        state in any::<u32>(),
+        seed in any::<u64>(),
+    ) {
+        let buf = bytes(seed, len);
+        let (head, tail) = buf.split_at((cut % (len as u64 + 1)) as usize);
+        let tables = [Some(dispatch::scalar_kernels()), dispatch::avx2_kernels()];
+        for k in tables.into_iter().flatten() {
+            let chained = k.crc32_update(k.crc32_update(state, head), tail);
+            prop_assert_eq!(chained, k.crc32_update(state, &buf), "{:?}", k.backend());
+        }
+    }
+}
+
+/// The standard CRC-32 check vector on every table this CPU can run.
+#[test]
+fn crc32_check_vector_on_both_tables() {
+    let tables = [Some(dispatch::scalar_kernels()), dispatch::avx2_kernels()];
+    for k in tables.into_iter().flatten() {
+        assert_eq!(
+            !k.crc32_update(!0, b"123456789"),
+            0xCBF4_3926,
+            "{:?}",
+            k.backend()
+        );
+        assert_eq!(!k.crc32_update(!0, b""), 0, "{:?}", k.backend());
+    }
+}
+
+/// Lengths around the fold's 16- and 64-byte block edges, and one
+/// `add_stream` request frame (393,283 bytes) at every start offset.
+#[test]
+fn crc32_fold_boundaries_and_full_frame() {
+    let Some((scalar, avx2)) = both_tables() else {
+        return;
+    };
+    let buf = bytes(7, 393_283 + 15);
+    for len in [15, 16, 63, 64, 65, 79, 80, 127, 128] {
+        for offset in 0..16 {
+            let slice = &buf[offset..offset + len];
+            for state in [0, !0, 0xDEAD_BEEF] {
+                assert_eq!(
+                    avx2.crc32_update(state, slice),
+                    scalar.crc32_update(state, slice),
+                    "len={len} offset={offset} state={state:#x}"
+                );
+            }
+        }
+    }
+    for offset in [0, 1, 15] {
+        let frame = &buf[offset..offset + 393_283];
+        assert_eq!(
+            avx2.crc32_update(!0, frame),
+            scalar.crc32_update(!0, frame),
+            "frame offset={offset}"
+        );
+    }
+}
+
 /// The process-wide selection honors the documented env-override order;
 /// whichever table is active, its output matches the scalar table.
 #[test]
@@ -427,4 +522,12 @@ fn active_table_matches_scalar() {
     sc.scale_poly_hps_into(&ctx, &src, n, &mut active, HpsPrecision::Fixed);
     dispatch::scalar_kernels().scale_hps_cols(&sc, &ctx, &src, n, 0..n, &mut scalar);
     assert_eq!(active, scalar, "scale backend={}", dispatch::backend_name());
+
+    let buf = bytes(8, 4099);
+    assert_eq!(
+        dispatch::kernels().crc32_update(!0, &buf),
+        dispatch::scalar_kernels().crc32_update(!0, &buf),
+        "crc32 backend={}",
+        dispatch::backend_name()
+    );
 }
